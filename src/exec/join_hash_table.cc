@@ -33,18 +33,6 @@ const JoinHashTable::KeyIndex& JoinHashTable::GetOrBuildIndex(
   return indexes_.emplace(key, std::move(index)).first->second;
 }
 
-void JoinHashTable::Probe(
-    int slot, int col, const Value& key, int max_epoch_exclusive,
-    const std::function<void(const CompositeTuple&)>& fn) const {
-  const KeyIndex& index = GetOrBuildIndex(slot, col);
-  auto it = index.find(key);
-  if (it == index.end()) return;
-  for (int64_t id : it->second) {
-    if (entries_[id].epoch >= max_epoch_exclusive) continue;
-    fn(entries_[id].tuple);
-  }
-}
-
 int64_t JoinHashTable::CountBefore(int epoch) const {
   // Epochs are nondecreasing: binary search for the boundary.
   int64_t lo = 0, hi = static_cast<int64_t>(entries_.size());

@@ -13,7 +13,6 @@
 #define QSYS_EXEC_JOIN_HASH_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <unordered_map>
@@ -44,11 +43,21 @@ class JoinHashTable {
   /// composite was stored (false = duplicate, dropped).
   bool Insert(int epoch, CompositeTuple tuple);
 
-  /// Invokes `fn` for each stored composite whose (slot, col) value
-  /// equals `key` and whose epoch is < `max_epoch_exclusive` (pass
-  /// kAllEpochs for no filtering).
+  /// Invokes `fn(const CompositeTuple&)` for each stored composite whose
+  /// (slot, col) value equals `key` and whose epoch is <
+  /// `max_epoch_exclusive` (pass kAllEpochs for no filtering). A template
+  /// so the m-join's per-probe callback is inlined, not type-erased.
+  template <typename Fn>
   void Probe(int slot, int col, const Value& key, int max_epoch_exclusive,
-             const std::function<void(const CompositeTuple&)>& fn) const;
+             Fn&& fn) const {
+    const KeyIndex& index = GetOrBuildIndex(slot, col);
+    auto it = index.find(key);
+    if (it == index.end()) return;
+    for (int64_t id : it->second) {
+      if (entries_[id].epoch >= max_epoch_exclusive) continue;
+      fn(entries_[id].tuple);
+    }
+  }
 
   static constexpr int kAllEpochs = std::numeric_limits<int>::max();
 

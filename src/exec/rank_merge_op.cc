@@ -88,6 +88,19 @@ void RankMergeOp::Consume(int port, const CompositeTuple& tuple,
   b.port = port;
   b.seq = seq_counter_++;
   b.tuple = tuple;
+  // Keep top_scores_ = the Need() largest buffered scores.
+  const int64_t need = Need();
+  if (static_cast<int64_t>(top_scores_.size()) < need) {
+    top_scores_.push_back(b.score);
+    std::push_heap(top_scores_.begin(), top_scores_.end(),
+                   std::greater<double>());
+  } else if (need > 0 && b.score > top_scores_.front()) {
+    std::pop_heap(top_scores_.begin(), top_scores_.end(),
+                  std::greater<double>());
+    top_scores_.back() = b.score;
+    std::push_heap(top_scores_.begin(), top_scores_.end(),
+                   std::greater<double>());
+  }
   buffer_.push(std::move(b));
 }
 
@@ -109,32 +122,44 @@ double RankMergeOp::Threshold(int port) const {
   return slot.reg.score_fn.Score(slot.reg.max_sum - min_slack);
 }
 
-double RankMergeOp::GlobalThreshold() const {
-  double best = kNegInf;
-  for (size_t p = 0; p < regs_.size(); ++p) {
-    best = std::max(best, Threshold(static_cast<int>(p)));
-  }
-  return best;
-}
-
 double RankMergeOp::KthKnownScore() const {
   // Scores of emitted results are all >= anything buffered, so count
   // them first.
-  int64_t have = static_cast<int64_t>(results_.size());
-  if (have >= k_) return results_[k_ - 1].score;
-  // Need (k - have) more from the buffer.
-  int64_t need = k_ - have;
-  if (static_cast<int64_t>(buffer_.size()) < need) return kNegInf;
-  // Copy out the buffer's top `need` scores.
-  std::vector<double> scores;
-  scores.reserve(buffer_.size());
-  std::priority_queue<Buffered> copy = buffer_;
-  double kth = kNegInf;
-  for (int64_t i = 0; i < need; ++i) {
-    kth = copy.top().score;
-    copy.pop();
+  const int64_t need = Need();
+  if (need <= 0) return results_[k_ - 1].score;
+  // top_scores_ holds the `need` largest buffered scores once at least
+  // `need` are buffered; its minimum is then the kth known score.
+  if (static_cast<int64_t>(top_scores_.size()) < need) return kNegInf;
+  return top_scores_.front();
+}
+
+void RankMergeOp::EmitTop(ExecContext& ctx) {
+  const Buffered& top = buffer_.top();
+  if (Need() > 0) {
+    // The emitted score is the maximum of top_scores_, which holds the
+    // largest buffered scores (and is nonempty: it holds min(Need(),
+    // |buffer_|) of them). A min-heap keeps its maximum in a leaf
+    // (index >= size/2): overwrite that with the last element and sift
+    // it up. O(k), at most k times per merge.
+    const size_t n = top_scores_.size();
+    const size_t leaf = static_cast<size_t>(
+        std::max_element(top_scores_.begin() + n / 2, top_scores_.end()) -
+        top_scores_.begin());
+    assert(top_scores_[leaf] == top.score);
+    top_scores_[leaf] = top_scores_.back();
+    top_scores_.pop_back();
+    if (leaf < top_scores_.size()) {
+      std::push_heap(top_scores_.begin(), top_scores_.begin() + leaf + 1,
+                     std::greater<double>());
+    }
   }
-  return kth;
+  ResultTuple r;
+  r.score = top.score;
+  r.cq_id = regs_[top.port].reg.cq_id;
+  r.tuple = top.tuple;
+  r.emitted_at_us = ctx.clock->now();
+  results_.push_back(std::move(r));
+  buffer_.pop();
 }
 
 StreamingSource* RankMergeOp::PreferredStream() {
@@ -208,36 +233,35 @@ void RankMergeOp::MarkDone(int port) {
 
 void RankMergeOp::Maintain(ExecContext& ctx) {
   if (complete_) return;
+  // One threshold pass. A registration's bound reads only its own
+  // streams and status, and nothing below reads a stream: emission
+  // changes neither, and MarkDone changes only the status of the port
+  // it marks (its callback unlinks plan operators, not streams). So the
+  // cached value stands for every registration that is not yet done.
+  const size_t n = regs_.size();
+  thresholds_.resize(n);
+  double bar = kNegInf;  // the global threshold
+  for (size_t p = 0; p < n; ++p) {
+    thresholds_[p] = Threshold(static_cast<int>(p));
+    bar = std::max(bar, thresholds_[p]);
+  }
   // Emit buffered results that clear the global threshold.
-  while (static_cast<int>(results_.size()) < k_ && !buffer_.empty()) {
-    double bar = GlobalThreshold();
-    const Buffered& top = buffer_.top();
-    if (top.score + kEps < bar) break;
-    ResultTuple r;
-    r.score = top.score;
-    r.cq_id = regs_[top.port].reg.cq_id;
-    r.tuple = top.tuple;
-    r.emitted_at_us = ctx.clock->now();
-    results_.push_back(std::move(r));
+  while (Need() > 0 && !buffer_.empty()) {
+    if (buffer_.top().score + kEps < bar) break;
+    EmitTop(ctx);
     ctx.stats->results_emitted += 1;
-    buffer_.pop();
   }
   // Prune CQs that can no longer contribute: threshold below the kth
-  // known answer (§6.3).
-  double kth = KthKnownScore();
-  if (kth > kNegInf) {
-    for (size_t p = 0; p < regs_.size(); ++p) {
-      if (regs_[p].status == CqStatus::kDone) continue;
-      if (Threshold(static_cast<int>(p)) + kEps < kth) {
-        MarkDone(static_cast<int>(p));
-      }
-    }
-  }
-  // Exhausted registrations are done too.
-  for (size_t p = 0; p < regs_.size(); ++p) {
+  // known answer (§6.3). Exhausted registrations (threshold −inf) are
+  // done too.
+  const double kth_known = KthKnownScore();
+  double live_bar = kNegInf;
+  for (size_t p = 0; p < n; ++p) {
     if (regs_[p].status == CqStatus::kDone) continue;
-    if (Threshold(static_cast<int>(p)) == kNegInf) {
+    if (thresholds_[p] + kEps < kth_known || thresholds_[p] == kNegInf) {
       MarkDone(static_cast<int>(p));
+    } else {
+      live_bar = std::max(live_bar, thresholds_[p]);
     }
   }
   // Completion: k results out, or nothing can ever arrive again.
@@ -254,18 +278,13 @@ void RankMergeOp::Maintain(ExecContext& ctx) {
   // stays live until every remaining bound is *strictly* below the kth
   // score (the scheduler keeps activating/reading the tied sibling —
   // that is the activation-order half of the §6.3 safety argument).
-  if (static_cast<int>(results_.size()) >= k_) {
+  // live_bar is the largest bound still pending (−inf when none is).
+  if (Need() <= 0) {
     const double kth = results_[k_ - 1].score;
-    bool tied_bound_pending = false;
-    for (size_t p = 0; p < regs_.size(); ++p) {
-      if (regs_[p].status == CqStatus::kDone) continue;
-      if (Threshold(static_cast<int>(p)) + kEps >= kth) {
-        tied_bound_pending = true;
-        break;
-      }
-    }
+    const bool tied_bound_pending =
+        live_bar > kNegInf && live_bar + kEps >= kth;
     if (!tied_bound_pending) complete_ = true;
-  } else if (GlobalThreshold() == kNegInf && buffer_.empty()) {
+  } else if (live_bar == kNegInf && buffer_.empty()) {
     complete_ = true;
   }
   if (complete_ && complete_time_us_ == 0) {
@@ -275,17 +294,10 @@ void RankMergeOp::Maintain(ExecContext& ctx) {
     // which of the tied answers make the top k. Re-ranking the whole
     // set canonically makes a warm-state run byte-equivalent to a
     // fresh run (and a sharded run to an unsharded one).
-    if (static_cast<int>(results_.size()) >= k_) {
+    if (Need() <= 0) {
       const double kth = results_[k_ - 1].score;
       while (!buffer_.empty() && buffer_.top().score + kEps >= kth) {
-        const Buffered& top = buffer_.top();
-        ResultTuple r;
-        r.score = top.score;
-        r.cq_id = regs_[top.port].reg.cq_id;
-        r.tuple = top.tuple;
-        r.emitted_at_us = ctx.clock->now();
-        results_.push_back(std::move(r));
-        buffer_.pop();
+        EmitTop(ctx);
       }
     }
     std::stable_sort(results_.begin(), results_.end(), ResultTupleOrder());

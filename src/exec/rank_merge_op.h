@@ -101,10 +101,6 @@ class RankMergeOp : public Operator {
   /// registration on `port` (−inf when it can produce nothing more).
   double Threshold(int port) const;
 
-  /// max over registrations of Threshold() — the bar a buffered result
-  /// must clear to be emitted.
-  double GlobalThreshold() const;
-
   /// Picks the stream whose read most reduces the governing threshold,
   /// activating the owning CQ if it was pending (this is where Table 4's
   /// "CQs executed" counter advances). Returns nullptr when no read can
@@ -159,6 +155,7 @@ class RankMergeOp : public Operator {
     results_.clear();
     results_.shrink_to_fit();
     buffer_ = std::priority_queue<Buffered>();
+    top_scores_ = std::vector<double>();
     seen_results_.clear();
   }
   int num_registrations() const {
@@ -192,8 +189,18 @@ class RankMergeOp : public Operator {
   };
 
   /// kth best score across emitted + buffered results (−inf if fewer
-  /// than k are known).
+  /// than k are known). O(1): reads results_ or the top_scores_ heap.
   double KthKnownScore() const;
+
+  /// Results still missing from the top k: k − |results_| (≤ 0 once k
+  /// are out).
+  int64_t Need() const {
+    return k_ - static_cast<int64_t>(results_.size());
+  }
+
+  /// Moves the buffer's best result to results_ (and its score out of
+  /// top_scores_, since Need() drops by one with it).
+  void EmitTop(ExecContext& ctx);
 
   void MarkDone(int port);
 
@@ -209,6 +216,15 @@ class RankMergeOp : public Operator {
   bool complete_ = false;
   std::vector<CqSlot> regs_;
   std::priority_queue<Buffered> buffer_;
+  /// Min-heap (std::greater) of the min(Need(), |buffer_|) largest
+  /// buffered scores, so its front is the Need()-th best buffered score
+  /// once it is full. Consume offers every buffered score; EmitTop
+  /// removes the heap's maximum (the emitted score). Need() only
+  /// shrinks while results accumulate, so a score the heap once turned
+  /// away can never be needed again.
+  std::vector<double> top_scores_;
+  /// Per-registration Threshold(), computed once per Maintain.
+  std::vector<double> thresholds_;
   std::vector<ResultTuple> results_;
   std::set<int> executed_cq_ids_;
   std::set<int> all_cq_ids_;
@@ -221,6 +237,8 @@ class RankMergeOp : public Operator {
   int64_t seq_counter_ = 0;
   int64_t tuples_from_shared_ = 0;
   VirtualTime est_saved_us_ = 0;
+
+  friend class RankMergeOpPeer;  // tests: brute-force kth reference
 };
 
 }  // namespace qsys

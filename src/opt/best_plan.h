@@ -1,11 +1,11 @@
-// The BestPlan search (Algorithm 1 of the paper, §5.1.2): memoized
-// top-down exploration — in the style of the Volcano optimizer — of which
+// The BestPlan search (Algorithm 1 of the paper, §5.1.2): top-down
+// exploration — in the style of the Volcano optimizer — of which
 // candidate subexpressions to push down to the sources, minimizing the
 // estimated cost of answering the whole query batch.
 //
-// Candidates are explored in canonical (index-increasing) order so each
-// combination is visited once; partial assignments are memoized by their
-// chosen-candidate set. When a candidate J is chosen for queries S[J],
+// Candidates are explored in canonical (index-increasing) order, so each
+// chosen-candidate set is visited exactly once and no memo is needed
+// (a set can never recur). When a candidate J is chosen for queries S[J],
 // every candidate overlapping J loses those queries from its usable set
 // (Definition 1: each relation of each query is covered by exactly one
 // input). Atoms left uncovered when the search stops are completed with
@@ -16,7 +16,6 @@
 #define QSYS_OPT_BEST_PLAN_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/opt/cost_model.h"
@@ -88,8 +87,6 @@ class BestPlanSearch {
               std::vector<Chosen>& chosen, int next_index,
               BestPlanResult* best);
 
-  std::string MemoKey(const std::vector<Chosen>& chosen) const;
-
   /// Keeps the cost-ascending top-kMaxAlternatives explored assignments.
   void RecordAlternative(const std::vector<CandidateInput>& candidates,
                          const std::vector<Chosen>& chosen, double cost,
@@ -101,7 +98,6 @@ class BestPlanSearch {
   int k_;
   int reuse_tag_;
   bool collect_alternatives_;
-  std::unordered_map<std::string, double> memo_;
 };
 
 /// Builds the residual input assignment for `queries` given already

@@ -317,6 +317,13 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
   std::shared_future<QueryOutcome> future = RegisterInFlight(
       uq_id, session, keywords, shard, options, deadline_us);
 
+  // Admit before the push: once queued, the request may resolve at any
+  // moment, and its resolve must never precede its admit (nor may
+  // `completed` overtake `submitted`). A rejected push undoes the count.
+  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
+  if (tracer_ != nullptr) {
+    tracer_->Instant(TraceEventType::kAdmit, shard, uq_id);
+  }
   bool pushed = options_.block_when_full
                     ? shards_[shard]->SubmitBlocking(std::move(request))
                     : shards_[shard]->TrySubmit(std::move(request));
@@ -324,10 +331,6 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
     // The push bounced off a dead shard, not backpressure: accept the
     // query and hand it to the fault-tolerance layer (retry elsewhere,
     // degraded re-scatter, or a terminal kUnavailable — never a hang).
-    counters_.submitted.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceEventType::kAdmit, shard, uq_id);
-    }
     FailOverOne(uq_id, Status::Unavailable(
                            "shard " + std::to_string(shard) + " is down"));
     return QueryTicket(uq_id, std::move(future));
@@ -342,10 +345,10 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
       // A shutdown raced this submit and already resolved the ticket
       // (as cancelled) via ResolveAllRemaining — the session/counter
       // accounting happened there; hand the resolved ticket back.
-      counters_.submitted.fetch_add(1, std::memory_order_relaxed);
       return QueryTicket(uq_id, std::move(future));
     }
     sessions_.OnRejected(session);
+    counters_.submitted.fetch_sub(1, std::memory_order_relaxed);
     counters_.rejected.fetch_add(1, std::memory_order_relaxed);
     if (tracer_ != nullptr) {
       tracer_->Instant(TraceEventType::kReject, shard, uq_id);
@@ -353,11 +356,7 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
     return Status::ResourceExhausted(
         "submit queue full or service shutting down");
   }
-  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   route_counters_[shard].local.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceEventType::kAdmit, shard, uq_id);
-  }
   return QueryTicket(uq_id, std::move(future));
 }
 

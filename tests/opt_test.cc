@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/opt/optimizer.h"
+#include "src/workload/gus.h"
 #include "tests/test_util.h"
 
 namespace qsys {
@@ -266,6 +267,93 @@ TEST_F(OptTest, StatsRegistryOverridesEstimates) {
   ASSERT_TRUE(looked.has_value());
   EXPECT_TRUE(looked->exhausted);
   EXPECT_EQ(registry.Lookup("missing").has_value(), false);
+}
+
+// Pins the BestPlan search on a fixed small batch over the GUS shape the
+// fuzz harness serves (80 relations, seed 3): the nodes it expands, the
+// winning cost and the journal's retained alternatives. Canonical
+// (index-increasing) enumeration visits every chosen-candidate set once,
+// so the search needs no memo; this test holds its output fixed.
+TEST(BestPlanPinTest, FixedGusBatchSearchIsPinned) {
+  QSystem sys(FastTestConfig());
+  GusOptions gus;
+  gus.num_relations = 80;
+  gus.min_rows = 60;
+  gus.max_rows = 180;
+  gus.seed = 3;
+  ASSERT_TRUE(BuildGusDataset(sys, gus).ok());
+  KeywordMatcher matcher(&sys.inverted_index(), &sys.catalog());
+  CandidateGenerator gen(&sys.schema_graph(), &matcher);
+  CostModel cost_model(&sys.catalog(), DelayParams{}, &sys.inverted_index(),
+                       nullptr, nullptr);
+  std::vector<UserQuery> storage;
+  CandidateGenOptions gen_options;
+  gen_options.max_cqs = 10;
+  for (const char* keywords : {"gene expression", "gene regulation",
+                               "regulation expression", "gene promoter"}) {
+    auto uq = gen.Generate(keywords, 5, gen_options);
+    ASSERT_TRUE(uq.ok()) << keywords << ": " << uq.status().ToString();
+    storage.push_back(std::move(uq).value());
+  }
+  std::vector<const ConjunctiveQuery*> queries;
+  int next_id = 1;
+  for (UserQuery& uq : storage) {
+    for (ConjunctiveQuery& cq : uq.cqs) {
+      cq.id = next_id++;
+      queries.push_back(&cq);
+    }
+  }
+  CandidateSet cands = EnumerateCandidates(queries, 4);
+  PruningOptions options;
+  std::vector<CandidateInput> pruned = ApplyPruningHeuristics(
+      cands.inputs, queries, cost_model, sys.catalog(), options);
+  BestPlanSearch search(&cost_model, &sys.catalog(), &options, 5, -1,
+                        /*collect_alternatives=*/true);
+  BestPlanResult best = search.Run(queries, pruned);
+  EXPECT_EQ(queries.size(), 36u);
+  EXPECT_EQ(best.num_candidates, 12);
+  EXPECT_EQ(best.nodes_explored, 64);
+  EXPECT_DOUBLE_EQ(best.cost, 3243505.6838076953);
+  // Every atom here is occurrence 0 with no selections, so descriptors
+  // are pinned with that suffix elided: "A<table>.0.<digest>" ->
+  // "A<table>".
+  struct Pinned {
+    double cost;
+    int pushdowns;
+    const char* desc;
+  };
+  const std::vector<Pinned> expected = {
+      {3243505.6838076953, 2,
+       "A5A26A40A61|E0.0-2.2|E0.0-3.1|E1.0-3.2"
+       "+A2A29A64A75|E0.0-2.1|E0.0-3.1|E1.0-2.2"},
+      {3384629.9304892351, 2,
+       "A5A26A40A61|E0.0-2.2|E0.0-3.1|E1.0-3.2+A2A64A75|E0.0-1.1|E0.0-2.1"},
+      {3437916.7466692599, 2,
+       "A5A40A61|E0.0-1.2|E0.0-2.1+A2A29A64A75|E0.0-2.1|E0.0-3.1|E1.0-2.2"},
+      {3465684.8863684144, 2,
+       "A5A26A40A61|E0.0-2.2|E0.0-3.1|E1.0-3.2+A2A29A64|E0.0-2.1|E1.0-2.2"},
+      {3469942.8863684144, 3,
+       "A5A26A40A61|E0.0-2.2|E0.0-3.1|E1.0-3.2+A2A75|E0.0-1.1+A29A64|E0.0-1.2"},
+      {3493970.3964348198, 2,
+       "A5A26A61|E0.0-2.1|E1.0-2.2+A2A29A64A75|E0.0-2.1|E0.0-3.1|E1.0-2.2"},
+      {3498456.3964348198, 3,
+       "A26A61|E0.0-1.2+A5A40|E0.0-1.2+A2A29A64A75|E0.0-2.1|E0.0-3.1|E1.0-2.2"},
+      {3579040.9933507997, 2,
+       "A5A40A61|E0.0-1.2|E0.0-2.1+A2A64A75|E0.0-1.1|E0.0-2.1"},
+  };
+  const std::string suffix = ".0." + std::to_string(SelectionDigest({}));
+  ASSERT_EQ(best.alternatives.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const PlanAlternative& alt = best.alternatives[i];
+    std::string desc = alt.desc;
+    for (size_t at = desc.find(suffix); at != std::string::npos;
+         at = desc.find(suffix)) {
+      desc.erase(at, suffix.size());
+    }
+    EXPECT_DOUBLE_EQ(alt.cost, expected[i].cost) << "alternative " << i;
+    EXPECT_EQ(alt.pushdowns, expected[i].pushdowns) << "alternative " << i;
+    EXPECT_EQ(desc, expected[i].desc) << "alternative " << i;
+  }
 }
 
 }  // namespace

@@ -56,6 +56,11 @@ struct ScoreCase {
   ScoreFunction fn;
 };
 
+// Without this gtest prints the raw bytes of the case, which include the
+// `name` pointer; under ASLR that makes every build list the cases under
+// different test names.
+void PrintTo(const ScoreCase& c, std::ostream* os) { *os << c.name; }
+
 class ScoreMonotonicityTest : public ::testing::TestWithParam<ScoreCase> {};
 
 TEST_P(ScoreMonotonicityTest, NondecreasingInSum) {
