@@ -466,6 +466,68 @@ TEST(FaultToleranceTest, StalledShardFailsOverByteEquivalent) {
   EXPECT_TRUE(service.Shutdown().ok());
 }
 
+TEST(FaultToleranceTest, StalledShardReScattersReplicatedCqsByteEquivalent) {
+  // Replicated placement under kScatterCqs: every query's CQs spread
+  // over all three shards, so each query has a sub-query on the stalled
+  // shard 0. Failover re-scatters the whole query over the healthy
+  // shards; since every shard owns every term, nothing is dropped and
+  // the merged answer is complete.
+  const std::map<std::string, std::string> clean = CleanAnswers(TestQueries());
+
+  ServiceOptions options = FaultTestOptions(3);
+  options.config.shard_affinity = ShardAffinity::kScatterCqs;
+  options.stall_timeout_ms = 20;
+  QueryService service(options);
+  ASSERT_TRUE(service.BuildEachEngine(TinyBuilder).ok());
+  ASSERT_TRUE(service.Start().ok());
+  ShardFaultPlan plan;
+  plan.target_shard = 0;
+  plan.stall_at_seq = 0;
+  ScriptedShardFaultInjector injector(plan);
+  service.InstallShardFaultInjector(&injector);
+  auto session = service.OpenSession("rescatter");
+  ASSERT_TRUE(session.ok());
+
+  std::vector<QueryTicket> tickets;
+  for (const std::string& q : TestQueries()) {
+    auto t = service.Submit(session.value(), q);
+    ASSERT_TRUE(t.ok()) << q;
+    tickets.push_back(std::move(t).value());
+  }
+  ASSERT_TRUE(PumpUntilResolved(service, tickets))
+      << "scatter parents with a sub on the stalled shard must fail over";
+
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const QueryOutcome& out = tickets[i].Wait();
+    ASSERT_TRUE(out.status.ok()) << TestQueries()[i] << ": "
+                                 << out.status.ToString();
+    EXPECT_FALSE(out.degraded) << TestQueries()[i];
+    EXPECT_TRUE(out.missing_terms.empty()) << TestQueries()[i];
+    EXPECT_EQ(out.shard, -1) << "a scatter parent has no single shard";
+    EXPECT_GT(out.retries, 0) << TestQueries()[i];
+    EXPECT_EQ(FingerprintResults(out.results), clean.at(TestQueries()[i]))
+        << TestQueries()[i];
+  }
+  EXPECT_GT(service.counters().retries.load(), 0);
+  EXPECT_EQ(service.counters().degraded.load(), 0);
+  ASSERT_NE(service.supervisor(), nullptr);
+  EXPECT_TRUE(service.supervisor()->out_of_rotation(0));
+
+  // Later scatters still answer completely around the dead shard.
+  auto late = service.Submit(session.value(), "membrane gene");
+  ASSERT_TRUE(late.ok());
+  std::vector<QueryTicket> late_tickets;
+  late_tickets.push_back(std::move(late).value());
+  ASSERT_TRUE(PumpUntilResolved(service, late_tickets));
+  const QueryOutcome& late_out = late_tickets[0].Wait();
+  ASSERT_TRUE(late_out.status.ok()) << late_out.status.ToString();
+  EXPECT_FALSE(late_out.degraded);
+  EXPECT_EQ(FingerprintResults(late_out.results), clean.at("membrane gene"));
+
+  injector.ReleaseStalls();
+  EXPECT_TRUE(service.Shutdown().ok());
+}
+
 TEST(FaultToleranceTest, CrashedShardRestartsAndServesAgain) {
   const std::map<std::string, std::string> clean = CleanAnswers(TestQueries());
 
