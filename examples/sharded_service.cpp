@@ -3,7 +3,7 @@
 //
 //   $ ./sharded_service
 //
-// The service hash-partitions incoming keyword queries across
+// The service spreads incoming keyword queries across
 // QConfig::num_shards engine shards, each with its own executor thread,
 // batcher, ATCs, and retained-state cache. Routing is stable (the same
 // logical query — any term order or casing — always lands on the shard
@@ -21,9 +21,11 @@
 //      sharding (same shard, warmer counters),
 //   5. prints the aggregated service counters.
 //
-// Try ShardAffinity::kTableAffinity (co-locate by hottest matched
-// relation) or kScatterCqs (split one query's CQs across all shards and
-// cross-shard-merge the top-k) by changing `shard_affinity` below.
+// Try ShardAffinity::kScatterCqs (split every query's CQs across the
+// healthy shards and cross-shard-merge the top-k) by changing
+// `shard_affinity` below, or QConfig::placement = kPartitioned (each
+// shard owns a slice of the index terms; a query runs on the shard that
+// owns all of its terms and scatters otherwise).
 
 #include <cstdio>
 #include <mutex>

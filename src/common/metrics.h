@@ -240,7 +240,7 @@ struct ServiceCounters {
   /// Batches flushed to the optimizer across all epochs and shards.
   std::atomic<int64_t> batches_flushed{0};
   /// Scatter queries whose per-shard top-k streams were cross-shard
-  /// rank-merged (ShardAffinity::kScatterCqs only).
+  /// rank-merged (ShardRouter::Decide chose to scatter).
   std::atomic<int64_t> cross_shard_merges{0};
 
   // -- fault-tolerance counters (ShardSupervisor + retry path) --

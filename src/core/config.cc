@@ -20,8 +20,6 @@ const char* ShardAffinityName(ShardAffinity a) {
   switch (a) {
     case ShardAffinity::kSignatureHash:
       return "signature-hash";
-    case ShardAffinity::kTableAffinity:
-      return "table-affinity";
     case ShardAffinity::kScatterCqs:
       return "scatter-cqs";
   }

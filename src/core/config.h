@@ -28,24 +28,23 @@ enum class SharingConfig {
 
 const char* SharingConfigName(SharingConfig c);
 
-/// \brief How the serving layer's shard router assigns an incoming user
-/// query to one of `QConfig::num_shards` independent engines
-/// (src/shard/shard_router.h).
+/// \brief How the serving layer's shard router treats a user query
+/// (src/shard/shard_router.h). Under either affinity a query may only
+/// run locally on a shard that owns every one of its indexed terms
+/// (every shard, under replicated placement).
 enum class ShardAffinity {
-  /// Hash of the canonical query signature (lowercased, sorted,
-  /// deduplicated keyword terms). Repeats of the same keyword query —
-  /// regardless of term order or case — always land on the same shard,
-  /// so temporal reuse of retained state keeps working under sharding.
+  /// Run locally, starting from the hash of the canonical query
+  /// signature (lowercased, sorted, deduplicated keyword terms): the
+  /// query runs on the first healthy owning shard at or after that
+  /// hash. Repeats of the same keyword query — regardless of term order
+  /// or case — land on the same shard, so temporal reuse of retained
+  /// state keeps working under sharding. A query no healthy shard owns
+  /// whole scatters.
   kSignatureHash,
-  /// ATC-CL-style cluster affinity: route by the smallest source
-  /// relation any keyword matches, so queries sharing hot relations
-  /// co-locate on the same shard and keep sharing subexpressions.
-  /// Falls back to the signature hash when no keyword matches.
-  kTableAffinity,
-  /// Scatter: split one user query's conjunctive queries round-robin
-  /// across every shard and cross-shard-merge the per-shard top-k
-  /// streams (src/shard/rank_merger.h). Maximizes per-query
-  /// parallelism at the cost of cross-query sharing.
+  /// Scatter: split every user query's conjunctive queries across the
+  /// healthy shards (ShardRouter::AssignCqs) and cross-shard-merge the
+  /// per-shard top-k streams (src/shard/rank_merger.h). Maximizes
+  /// per-query parallelism at the cost of cross-query sharing.
   kScatterCqs,
 };
 
@@ -54,14 +53,16 @@ const char* ShardAffinityName(ShardAffinity a);
 /// \brief How shard engines hold data (src/core/placement.h).
 enum class PlacementMode {
   /// Every shard builds and holds the full dataset (the dataset builder
-  /// runs once per shard). Sharding scales CPU, not data.
+  /// runs once per shard), so every shard owns every term. Sharding
+  /// scales CPU, not data.
   kReplicated,
   /// The dataset is built once; each shard is resident only for the
   /// hash-partitioned slice of the inverted index and base tables it
-  /// owns (src/storage/partition.h). The router sends a query to the
-  /// shard owning all of its terms, or scatters it across shards when
-  /// the terms span owners. Per-UQ top-k answers stay byte-equivalent
-  /// to replicated single-shard execution.
+  /// owns (src/storage/partition.h): each index term has exactly one
+  /// owner. The router sends a query to the shard owning all of its
+  /// terms, or scatters it across shards when the terms span owners or
+  /// the owner is down. Per-UQ top-k answers stay byte-equivalent to
+  /// replicated single-shard execution.
   kPartitioned,
 };
 
@@ -125,11 +126,11 @@ struct QConfig {
   int num_shards = 1;
   /// How queries are routed across shards (ignored when num_shards=1).
   ShardAffinity shard_affinity = ShardAffinity::kSignatureHash;
-  /// Whether each shard replicates the full dataset or owns only its
-  /// hash-partitioned slice. Partitioned mode shrinks per-shard
-  /// resident data as num_shards grows; kScatterCqs affinity still
-  /// scatters every query, other affinities are overridden by the
-  /// ownership-based routing decision.
+  /// Whether each shard replicates the full dataset (every shard owns
+  /// every term) or owns only its hash-partitioned slice (each term has
+  /// one owner). Partitioned mode shrinks per-shard resident data as
+  /// num_shards grows. Routing follows term ownership in both modes;
+  /// kScatterCqs still scatters every query.
   PlacementMode placement = PlacementMode::kReplicated;
 
   /// Intra-shard parallelism (multi-core epochs): number of executors

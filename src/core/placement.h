@@ -21,10 +21,12 @@
 //     full placement index), and source streams are placement-
 //     independent; only routing and resident accounting change.
 //
-// The router consults PartitionMap term ownership: a query whose terms
-// all resolve on one shard routes there and is generated from that
-// shard's slice; a query whose terms span owners scatters through the
-// existing kScatterCqs + cross-shard RankMerger path (generation runs
+// Routing uses one rule for both modes: every index term has an owner
+// set — all shards when replicated, {PartitionMap::TermOwner(term)}
+// here (src/shard/shard_router.h). A query whose terms all resolve on
+// one healthy shard routes there and is generated from that shard's
+// slice; a query whose terms span owners, or whose owner is down,
+// scatters through the cross-shard RankMerger path (generation runs
 // centrally here, over the full index).
 
 #ifndef QSYS_CORE_PLACEMENT_H_

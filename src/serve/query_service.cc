@@ -1,6 +1,7 @@
 #include "src/serve/query_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/core/placement.h"
@@ -11,6 +12,10 @@ namespace qsys {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+bool AnyHealthy(const std::vector<char>& healthy) {
+  return std::find(healthy.begin(), healthy.end(), 1) != healthy.end();
+}
 }  // namespace
 
 QueryService::QueryService(ServiceOptions options)
@@ -149,26 +154,15 @@ Status QueryService::Start() {
           "(see QueryService::BuildEachEngine)");
     }
   }
-  // Table-affinity routing probes the full inverted index — the
-  // placement's in partitioned mode (a shard's own index is only its
-  // slice), shard 0's otherwise. Both are immutable once finalized and
-  // therefore safe to read from any submitting thread.
-  router_.set_footprint_fn([this](const std::string& term) {
-    const InvertedIndex& index = placement_ != nullptr
-                                     ? placement_->full_index()
-                                     : shards_[0]->engine().inverted_index();
-    std::vector<TableId> tables;
-    for (const KeywordMatch& m : index.Lookup(term)) {
-      tables.push_back(m.table);
-    }
-    return tables;
-  });
   if (placement_ != nullptr) {
-    // Ownership-based routing: Submit() consults Decide() instead of
-    // Route(). Terms the index does not contain report -1 (ignored by
-    // the decision — they match nothing anywhere).
+    // Partitioned: each indexed term is owned by one shard. Terms the
+    // index does not contain have no owner (ignored by routing — they
+    // match nothing anywhere). Replicated installs nothing: every
+    // shard owns every term.
     router_.set_term_owner_fn([this](const std::string& term) {
-      if (placement_->full_index().Lookup(term).empty()) return -1;
+      if (placement_->full_index().Lookup(term).empty()) {
+        return ShardRouter::kNoShard;
+      }
       return placement_->partition_map().TermOwner(term);
     });
   }
@@ -244,6 +238,30 @@ bool QueryService::ShardHealthy(int shard) const {
   return true;
 }
 
+std::vector<char> QueryService::HealthyShards() const {
+  std::vector<char> healthy(static_cast<size_t>(num_shards()), 0);
+  for (int s = 0; s < num_shards(); ++s) {
+    healthy[static_cast<size_t>(s)] = ShardHealthy(s) ? 1 : 0;
+  }
+  return healthy;
+}
+
+Result<UserQuery> QueryService::GenerateScatter(
+    const std::string& keywords, const CandidateGenOptions& options,
+    const std::vector<char>& healthy) const {
+  // Generation reads only immutable post-finalize structures, so it
+  // runs on the calling thread. Partitioned mode generates over the
+  // placement's FULL index: a scattered query's terms resolve on no
+  // single shard's slice. Replicated engines each hold the full index;
+  // use the first healthy one.
+  if (placement_ != nullptr) {
+    return placement_->GenerateCandidates(keywords, options);
+  }
+  const auto first = std::find(healthy.begin(), healthy.end(), 1);
+  const size_t s = AnyHealthy(healthy) ? first - healthy.begin() : 0;
+  return shards_[s]->engine().GenerateCandidates(keywords, options);
+}
+
 Result<QueryTicket> QueryService::Submit(SessionId session,
                                          const std::string& keywords,
                                          const CandidateGenOptions& options,
@@ -260,63 +278,21 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
       deadline_ms < 0 ? options_.default_deadline_ms : deadline_ms;
   const VirtualTime deadline_us = ms > 0 ? NowUs() + ms * 1000 : -1;
 
-  if (options_.config.shard_affinity == ShardAffinity::kScatterCqs &&
-      num_shards() > 1) {
-    Result<QueryTicket> ticket =
-        SubmitScatter(session, keywords, options, deadline_us);
-    if (ticket.ok()) {
-      route_counters_[router_.Route(keywords)].scatter.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    return ticket;
+  std::vector<char> healthy = HealthyShards();
+  if (!AnyHealthy(healthy)) {
+    // No shard can take the query: route as though every shard could.
+    // The push bounces and FailOverOne resolves the ticket kUnavailable
+    // (with one shard, its terminal status reaches the client).
+    healthy.assign(healthy.size(), 1);
   }
+  const ShardRouter::Decision route = router_.Decide(keywords, healthy);
+  std::optional<Result<UserQuery>> gen;
+  if (route.scatter) gen = GenerateScatter(keywords, options, healthy);
 
-  int shard;
-  if (router_.partitioned()) {
-    // Partitioned placement: ownership decides. A query whose terms
-    // all live on one shard executes there from that shard's slice;
-    // terms spanning owners scatter through the exact cross-shard
-    // merge (the configured affinity only breaks ties — a non-owner
-    // shard's slice could not even generate the query's candidates).
-    // A down owner is NOT routed around here: the push below fails
-    // and the fault-tolerance layer re-scatters around it (degraded).
-    ShardRouter::Decision decision = router_.Decide(keywords);
-    if (decision.scatter) {
-      Result<QueryTicket> ticket =
-          SubmitScatter(session, keywords, options, deadline_us);
-      if (ticket.ok()) {
-        route_counters_[decision.shard].scatter.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      return ticket;
-    }
-    shard = decision.shard;
-  } else {
-    shard = router_.Route(keywords);
-    // Replicated: any shard holds the full copy, so route new traffic
-    // around a failed shard instead of bouncing off its closed queue.
-    if (!ShardHealthy(shard)) {
-      for (int off = 1; off < num_shards(); ++off) {
-        const int s = (shard + off) % num_shards();
-        if (ShardHealthy(s)) {
-          shard = s;
-          break;
-        }
-      }
-    }
-  }
-
-  ShardRequest request;
-  request.uq_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
-  request.user_id = session;
-  request.keywords = keywords;
-  request.options = options;
-  request.submit_us = NowUs();
-
-  int uq_id = request.uq_id;
+  const int uq_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
+  const int shard = route.scatter ? -1 : route.shard;
   std::shared_future<QueryOutcome> future = RegisterInFlight(
       uq_id, session, keywords, shard, options, deadline_us);
-
   // Admit before the push: once queued, the request may resolve at any
   // moment, and its resolve must never precede its admit (nor may
   // `completed` overtake `submitted`). A rejected push undoes the count.
@@ -324,18 +300,9 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
   if (tracer_ != nullptr) {
     tracer_->Instant(TraceEventType::kAdmit, shard, uq_id);
   }
-  bool pushed = options_.block_when_full
-                    ? shards_[shard]->SubmitBlocking(std::move(request))
-                    : shards_[shard]->TrySubmit(std::move(request));
-  if (!pushed && !stopped_ && !ShardHealthy(shard)) {
-    // The push bounced off a dead shard, not backpressure: accept the
-    // query and hand it to the fault-tolerance layer (retry elsewhere,
-    // degraded re-scatter, or a terminal kUnavailable — never a hang).
-    FailOverOne(uq_id, Status::Unavailable(
-                           "shard " + std::to_string(shard) + " is down"));
-    return QueryTicket(uq_id, std::move(future));
-  }
-  if (!pushed) {
+  const Dispatch sent = Send(uq_id, session, keywords, options, route,
+                             std::move(gen), healthy, /*at_submit=*/true);
+  if (sent == Dispatch::kRefused) {
     bool still_inflight;
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -356,83 +323,99 @@ Result<QueryTicket> QueryService::Submit(SessionId session,
     return Status::ResourceExhausted(
         "submit queue full or service shutting down");
   }
-  route_counters_[shard].local.fetch_add(1, std::memory_order_relaxed);
+  // A scatter counts once accepted; a local route once queued.
+  AtomicRouteCounters& counted = route_counters_[route.shard];
+  if (route.scatter) {
+    counted.scatter.fetch_add(1, std::memory_order_relaxed);
+  } else if (sent == Dispatch::kQueued) {
+    counted.local.fetch_add(1, std::memory_order_relaxed);
+  }
   return QueryTicket(uq_id, std::move(future));
 }
 
-Result<QueryTicket> QueryService::SubmitScatter(
-    SessionId session, const std::string& keywords,
-    const CandidateGenOptions& options, VirtualTime deadline_us) {
-  // The caller has already admitted the session. Generate once (on the
-  // submitting thread — generation reads only immutable post-finalize
-  // structures), then split the CQs across shards. Partitioned mode
-  // generates centrally over the placement's FULL index: a spanning
-  // query's terms resolve on no single shard's slice, so only the full
-  // index sees every candidate.
-  Result<UserQuery> gen =
-      placement_ != nullptr
-          ? placement_->GenerateCandidates(keywords, options)
-          : shards_[0]->engine().GenerateCandidates(keywords, options);
-  int parent_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_future<QueryOutcome> future = RegisterInFlight(
-      parent_id, session, keywords, /*shard=*/-1, options, deadline_us);
-  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceEventType::kAdmit, /*shard=*/-1, parent_id);
+QueryService::Dispatch QueryService::Send(
+    int uq_id, SessionId session, const std::string& keywords,
+    const CandidateGenOptions& options, const ShardRouter::Decision& route,
+    std::optional<Result<UserQuery>> gen, const std::vector<char>& healthy,
+    bool at_submit) {
+  if (!route.scatter) {
+    ShardRequest request;
+    request.uq_id = uq_id;
+    request.user_id = session;
+    request.keywords = keywords;
+    request.options = options;
+    request.submit_us = NowUs();
+    return Push(route.shard, std::move(request), uq_id, at_submit);
   }
-  if (!gen.ok()) {
-    // Same client experience as the routed path: the ticket resolves
-    // with the generation failure.
-    Resolve(parent_id, gen.status(), nullptr, nullptr);
-    return QueryTicket(parent_id, std::move(future));
+  if (!gen->ok()) {
+    // Same client experience as a local route: the ticket resolves with
+    // the generation failure.
+    Resolve(uq_id, gen->status(), nullptr, nullptr);
+    return Dispatch::kHandedOff;
   }
-  UserQuery uq = std::move(gen).value();
+  UserQuery uq = std::move(*gen).value();
 
+  // Assign every CQ by the owners of its terms. A CQ's term selections
+  // come from index matches, so each of its terms is indexed.
+  std::vector<std::vector<std::string>> terms(uq.cqs.size());
+  std::vector<std::vector<int>> owners(uq.cqs.size());
+  for (size_t i = 0; i < uq.cqs.size(); ++i) {
+    for (const Atom& atom : uq.cqs[i].expr.atoms()) {
+      for (const Selection& sel : atom.selections) {
+        if (sel.kind != SelectionKind::kContainsTerm) continue;
+        terms[i].push_back(sel.constant.AsString());
+        owners[i].push_back(router_.TermOwner(terms[i].back()));
+      }
+    }
+  }
+  const std::vector<int> target = ShardRouter::AssignCqs(owners, healthy);
   const int n = num_shards();
-  std::vector<std::vector<ConjunctiveQuery>> parts(n);
-  if (placement_ == nullptr) {
-    for (size_t i = 0; i < uq.cqs.size(); ++i) {
-      parts[i % n].push_back(std::move(uq.cqs[i]));
+  std::vector<std::vector<ConjunctiveQuery>> parts(static_cast<size_t>(n));
+  std::vector<std::string> missing;
+  bool kept = false;
+  for (size_t i = 0; i < uq.cqs.size(); ++i) {
+    if (target[i] >= 0) {
+      parts[static_cast<size_t>(target[i])].push_back(std::move(uq.cqs[i]));
+      kept = true;
+      continue;
     }
-  } else {
-    // Locality-aware assignment: send each CQ to the shard owning the
-    // most of its keyword terms (ties to the lowest shard; CQs with no
-    // term selections fall back to round-robin). Purely a placement
-    // heuristic — RankMerger::Merge is exact over the union of CQ
-    // result streams, so the assignment cannot change the answer.
-    const PartitionMap& map = placement_->partition_map();
-    for (size_t i = 0; i < uq.cqs.size(); ++i) {
-      std::vector<int64_t> votes(n, 0);
-      bool any_term = false;
-      for (const Atom& atom : uq.cqs[i].expr.atoms()) {
-        for (const Selection& sel : atom.selections) {
-          if (sel.kind != SelectionKind::kContainsTerm) continue;
-          votes[map.TermOwner(sel.constant.AsString())] += 1;
-          any_term = true;
-        }
+    for (size_t t = 0; t < terms[i].size(); ++t) {
+      if (!ShardRouter::HasHealthyOwner(owners[i][t], healthy)) {
+        missing.push_back(terms[i][t]);
       }
-      int target = static_cast<int>(i) % n;
-      if (any_term) {
-        target = 0;
-        for (int s = 1; s < n; ++s) {
-          if (votes[s] > votes[target]) target = s;
-        }
-      }
-      parts[target].push_back(std::move(uq.cqs[i]));
     }
+  }
+  if (!missing.empty()) {
+    // The dropped CQs' results are lost: the surviving CQs still give
+    // an exact top-k over what remains, so the answer is a flagged
+    // subset of the complete one.
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    auto it = inflight_.find(uq_id);
+    if (it == inflight_.end()) return Dispatch::kHandedOff;
+    it->second.degraded = true;
+    it->second.missing_terms.insert(it->second.missing_terms.end(),
+                                    missing.begin(), missing.end());
+  }
+  if (!kept) {
+    // Every candidate needed an unreachable owner: nothing left to
+    // answer from. (missing_terms in the outcome say why.)
+    Resolve(uq_id,
+            Status::Unavailable("no reachable partition covers the query"),
+            nullptr, nullptr);
+    return Dispatch::kHandedOff;
   }
 
   ScatterState state;
   std::vector<std::pair<int, ShardRequest>> to_push;
   for (int s = 0; s < n; ++s) {
-    if (parts[s].empty()) continue;
+    if (parts[static_cast<size_t>(s)].empty()) continue;
     int sub_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
     auto sub = std::make_unique<UserQuery>();
     sub->id = sub_id;
     sub->user_id = session;
     sub->k = uq.k;
     sub->keywords = uq.keywords;
-    sub->cqs = std::move(parts[s]);
+    sub->cqs = std::move(parts[static_cast<size_t>(s)]);
     ShardRequest request;
     request.uq_id = sub_id;
     request.user_id = session;
@@ -442,68 +425,46 @@ Result<QueryTicket> QueryService::SubmitScatter(
     state.pending += 1;
     state.sub_shards.push_back(s);
   }
-  std::vector<int> sub_ids;
   {
     std::lock_guard<std::mutex> lock(scatter_mu_);
     for (const auto& [s, request] : to_push) {
-      scatter_sub_parent_[request.uq_id] = parent_id;
-      sub_ids.push_back(request.uq_id);
+      scatter_sub_parent_[request.uq_id] = uq_id;
       // Sub-queries journal (and Explain) under their parent.
-      if (journal_ != nullptr) journal_->Alias(request.uq_id, parent_id);
+      if (journal_ != nullptr) journal_->Alias(request.uq_id, uq_id);
     }
-    scatter_.emplace(parent_id, std::move(state));
+    scatter_.emplace(uq_id, std::move(state));
   }
-
-  bool all_pushed = true;
-  int refused_shard = -1;
   for (auto& [s, request] : to_push) {
-    bool pushed = options_.block_when_full
-                      ? shards_[s]->SubmitBlocking(std::move(request))
-                      : shards_[s]->TrySubmit(std::move(request));
-    if (!pushed) {
-      all_pushed = false;
-      refused_shard = s;
-      break;
-    }
+    const Dispatch pushed = Push(s, std::move(request), uq_id, at_submit);
+    if (pushed == Dispatch::kQueued) continue;
+    // Subs already pushed complete into a void once the book-keeping is
+    // dropped; their work is wasted but harmless.
+    if (pushed == Dispatch::kRefused) AbortScatter(uq_id);
+    return pushed;
   }
-  if (!all_pushed && !stopped_ && !ShardHealthy(refused_shard)) {
-    // A sub bounced off a dead shard, not backpressure: keep the
-    // parent and let the fault-tolerance layer re-scatter around the
-    // dead shard (degraded under partitioned placement). Subs already
-    // pushed complete into a void once the book-keeping is dropped.
-    AbortScatter(parent_id);
-    FailOverOne(parent_id,
-                Status::Unavailable("shard " + std::to_string(refused_shard) +
-                                    " is down"));
-    return QueryTicket(parent_id, std::move(future));
+  return Dispatch::kQueued;
+}
+
+QueryService::Dispatch QueryService::Push(int shard, ShardRequest request,
+                                          int uq_id, bool at_submit) {
+  // Only a client's own submit may block: a retry runs on the
+  // supervision pass, which must never wait on a shard queue.
+  const bool pushed = at_submit && options_.block_when_full
+                          ? shards_[shard]->SubmitBlocking(std::move(request))
+                          : shards_[shard]->TrySubmit(std::move(request));
+  if (pushed) return Dispatch::kQueued;
+  if (at_submit && (stopped_ || ShardHealthy(shard))) {
+    return Dispatch::kRefused;  // backpressure or shutdown: reject
   }
-  if (!all_pushed) {
-    // Undo the scatter (subs already pushed will complete into a void;
-    // their work is wasted but harmless) and reject the submit.
-    {
-      std::lock_guard<std::mutex> lock(scatter_mu_);
-      for (int sub : sub_ids) scatter_sub_parent_.erase(sub);
-      scatter_.erase(parent_id);
-    }
-    bool still_inflight;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      still_inflight = inflight_.erase(parent_id) > 0;
-    }
-    if (!still_inflight) {
-      // Shutdown raced and resolved the parent ticket already.
-      return QueryTicket(parent_id, std::move(future));
-    }
-    sessions_.OnRejected(session);
-    counters_.submitted.fetch_sub(1, std::memory_order_relaxed);
-    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceEventType::kReject, /*shard=*/-1, parent_id);
-    }
-    return Status::ResourceExhausted(
-        "submit queue full or service shutting down");
-  }
-  return QueryTicket(parent_id, std::move(future));
+  // The push bounced off a dead shard (or a retry was refused): the
+  // fault-tolerance layer retries elsewhere, re-scatters, or resolves a
+  // terminal kUnavailable — never a hang.
+  FailOverOne(uq_id, Status::Unavailable(
+                         at_submit ? "shard " + std::to_string(shard) +
+                                         " is down"
+                                   : "retry refused by shard " +
+                                         std::to_string(shard)));
+  return Dispatch::kHandedOff;
 }
 
 void QueryService::OnShardCompletion(const EngineShard::Completion& c) {
@@ -781,13 +742,7 @@ void QueryService::AbortScatter(int uq_id) {
 
 void QueryService::FailOverOne(int uq_id, const Status& cause) {
   AbortScatter(uq_id);
-  bool any_healthy = false;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (ShardHealthy(s)) {
-      any_healthy = true;
-      break;
-    }
-  }
+  const bool any_healthy = AnyHealthy(HealthyShards());
   enum class Disposition { kRetry, kGiveUp, kDeadline, kNone };
   Disposition d = Disposition::kNone;
   int attempts = 0;
@@ -872,216 +827,25 @@ void QueryService::ProcessDueRetries(VirtualTime now_us) {
     if (tracer_ != nullptr) {
       tracer_->Instant(TraceEventType::kRetry, /*shard=*/-1, uq_id);
     }
-    if (router_.partitioned()) {
-      DegradedRescatter(uq_id, session, keywords, gen_options);
-      continue;
-    }
-    if (options_.config.shard_affinity == ShardAffinity::kScatterCqs &&
-        num_shards() > 1) {
-      RescatterAcrossHealthy(uq_id, session, keywords, gen_options);
-      continue;
-    }
-    // Replicated routed query: re-route to the first healthy shard at
-    // or after its home shard.
-    int target = -1;
-    const int base = router_.Route(keywords);
-    for (int off = 0; off < num_shards(); ++off) {
-      const int s = (base + off) % num_shards();
-      if (ShardHealthy(s)) {
-        target = s;
-        break;
-      }
-    }
-    if (target < 0) {
+    // The same decision as a fresh submit, over the shards healthy now.
+    const std::vector<char> healthy = HealthyShards();
+    if (!AnyHealthy(healthy)) {
       Resolve(uq_id, Status::Unavailable("no healthy shard for retry"),
               nullptr, nullptr);
       continue;
     }
+    const ShardRouter::Decision route = router_.Decide(keywords, healthy);
+    std::optional<Result<UserQuery>> gen;
+    if (route.scatter) gen = GenerateScatter(keywords, gen_options, healthy);
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
       auto it = inflight_.find(uq_id);
       if (it == inflight_.end()) continue;
-      it->second.shard = target;
+      it->second.shard = route.scatter ? -1 : route.shard;
     }
-    ShardRequest request;
-    request.uq_id = uq_id;
-    request.user_id = session;
-    request.keywords = keywords;
-    request.options = gen_options;
-    request.submit_us = NowUs();
-    if (!shards_[target]->TrySubmit(std::move(request))) {
-      FailOverOne(uq_id,
-                  Status::Unavailable("retry refused by shard " +
-                                      std::to_string(target)));
-    }
+    Send(uq_id, session, keywords, gen_options, route, std::move(gen),
+         healthy, /*at_submit=*/false);
   }
-}
-
-void QueryService::PushRetryScatter(
-    int parent_id, SessionId session, int k, const std::string& keywords,
-    std::vector<std::vector<ConjunctiveQuery>> parts) {
-  ScatterState state;
-  std::vector<std::pair<int, ShardRequest>> to_push;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (parts[s].empty()) continue;
-    int sub_id = next_uq_id_.fetch_add(1, std::memory_order_relaxed);
-    auto sub = std::make_unique<UserQuery>();
-    sub->id = sub_id;
-    sub->user_id = session;
-    sub->k = k;
-    sub->keywords = keywords;
-    sub->cqs = std::move(parts[s]);
-    ShardRequest request;
-    request.uq_id = sub_id;
-    request.user_id = session;
-    request.prepared = std::move(sub);
-    request.submit_us = NowUs();
-    to_push.emplace_back(s, std::move(request));
-    state.pending += 1;
-    state.sub_shards.push_back(s);
-  }
-  {
-    std::lock_guard<std::mutex> lock(scatter_mu_);
-    for (const auto& [s, request] : to_push) {
-      scatter_sub_parent_[request.uq_id] = parent_id;
-      if (journal_ != nullptr) journal_->Alias(request.uq_id, parent_id);
-    }
-    scatter_.emplace(parent_id, std::move(state));
-  }
-  for (auto& [s, request] : to_push) {
-    if (!shards_[s]->TrySubmit(std::move(request))) {
-      // The target died between the health check and the push; fail
-      // over again (bounded by max_retries).
-      FailOverOne(parent_id,
-                  Status::Unavailable("re-scatter refused by shard " +
-                                      std::to_string(s)));
-      return;
-    }
-  }
-}
-
-void QueryService::RescatterAcrossHealthy(
-    int uq_id, SessionId session, const std::string& keywords,
-    const CandidateGenOptions& options) {
-  std::vector<int> healthy;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (ShardHealthy(s)) healthy.push_back(s);
-  }
-  if (healthy.empty()) {
-    Resolve(uq_id, Status::Unavailable("no healthy shard for re-scatter"),
-            nullptr, nullptr);
-    return;
-  }
-  // Replicated: every engine holds the full copy, so any healthy one
-  // can regenerate candidates; the answer is complete (not degraded).
-  Result<UserQuery> gen =
-      shards_[healthy[0]]->engine().GenerateCandidates(keywords, options);
-  if (!gen.ok()) {
-    Resolve(uq_id, gen.status(), nullptr, nullptr);
-    return;
-  }
-  UserQuery uq = std::move(gen).value();
-  std::vector<std::vector<ConjunctiveQuery>> parts(
-      static_cast<size_t>(num_shards()));
-  for (size_t i = 0; i < uq.cqs.size(); ++i) {
-    parts[static_cast<size_t>(healthy[i % healthy.size()])].push_back(
-        std::move(uq.cqs[i]));
-  }
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(uq_id);
-    if (it == inflight_.end()) return;
-    it->second.shard = -1;  // scatter parent again
-  }
-  PushRetryScatter(uq_id, session, uq.k, keywords, std::move(parts));
-}
-
-void QueryService::DegradedRescatter(int uq_id, SessionId session,
-                                     const std::string& keywords,
-                                     const CandidateGenOptions& options) {
-  std::vector<char> healthy(static_cast<size_t>(num_shards()), 0);
-  bool any_healthy = false;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (ShardHealthy(s)) {
-      healthy[static_cast<size_t>(s)] = 1;
-      any_healthy = true;
-    }
-  }
-  if (!any_healthy) {
-    Resolve(uq_id, Status::Unavailable("no healthy shard for re-scatter"),
-            nullptr, nullptr);
-    return;
-  }
-  // Regenerate over the placement's full index (immutable, survives
-  // dead shards), then drop the CQs that need an unreachable owner:
-  // the surviving CQs still produce an exact top-k over their slices,
-  // so the eventual answer is a flagged subset of the complete one.
-  Result<UserQuery> gen = placement_->GenerateCandidates(keywords, options);
-  if (!gen.ok()) {
-    Resolve(uq_id, gen.status(), nullptr, nullptr);
-    return;
-  }
-  UserQuery uq = std::move(gen).value();
-  const PartitionMap& map = placement_->partition_map();
-  const int n = num_shards();
-  std::vector<std::vector<ConjunctiveQuery>> parts(static_cast<size_t>(n));
-  std::vector<std::string> missing;
-  size_t kept = 0;
-  for (size_t i = 0; i < uq.cqs.size(); ++i) {
-    std::vector<int64_t> votes(static_cast<size_t>(n), 0);
-    bool reachable = true;
-    for (const Atom& atom : uq.cqs[i].expr.atoms()) {
-      for (const Selection& sel : atom.selections) {
-        if (sel.kind != SelectionKind::kContainsTerm) continue;
-        const std::string term = sel.constant.AsString();
-        const int owner = map.TermOwner(term);
-        if (owner < 0) continue;  // term matches nothing anywhere
-        if (!healthy[static_cast<size_t>(owner)]) {
-          reachable = false;
-          missing.push_back(term);
-        } else {
-          votes[static_cast<size_t>(owner)] += 1;
-        }
-      }
-    }
-    if (!reachable) continue;
-    // Locality vote among the healthy shards (deterministic: ties to
-    // the lowest id; no votes at all picks the lowest healthy shard).
-    int target = -1;
-    int64_t best = -1;
-    for (int s = 0; s < n; ++s) {
-      if (healthy[static_cast<size_t>(s)] == 0) continue;
-      if (votes[static_cast<size_t>(s)] > best) {
-        best = votes[static_cast<size_t>(s)];
-        target = s;
-      }
-    }
-    parts[static_cast<size_t>(target)].push_back(std::move(uq.cqs[i]));
-    kept += 1;
-  }
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(uq_id);
-    if (it == inflight_.end()) return;
-    it->second.shard = -1;  // scatter parent now
-    if (!missing.empty()) {
-      it->second.degraded = true;
-      for (const std::string& term : missing) {
-        it->second.missing_terms.push_back(term);
-      }
-    }
-  }
-  if (kept == 0) {
-    // Every candidate needed a dead owner: nothing left to answer
-    // from. (missing_terms in the outcome say why.)
-    Resolve(uq_id,
-            Status::Unavailable("no reachable partition covers the query"),
-            nullptr, nullptr);
-    return;
-  }
-  PushRetryScatter(uq_id, session, uq.k, keywords, std::move(parts));
 }
 
 void QueryService::TryRestartShard(int shard) {

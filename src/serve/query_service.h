@@ -5,8 +5,8 @@
 // queries; this layer supplies the concurrency and — since sharding —
 // the parallelism. Many client threads submit keyword queries on real
 // time; an admission/session layer assigns query ids and enforces
-// per-client in-flight caps; a ShardRouter hash-partitions admitted
-// queries across QConfig::num_shards independent EngineShards (each a
+// per-client in-flight caps; a ShardRouter spreads admitted queries
+// across QConfig::num_shards independent EngineShards (each a
 // full Engine: batcher -> multi-query optimizer -> graft -> shared ATC
 // execution, with its own executor thread, bounded submit queue, state
 // manager, and optional spill tier); and completed top-k answers stream
@@ -25,14 +25,18 @@
 //   const QueryOutcome& out = ticket.Wait();   // ranked ResultTuples
 //   QSYS_RETURN_IF_ERROR(service.Shutdown());
 //
-// Routing (src/shard/shard_router.h) is stable — the same logical
-// query always lands on the shard holding its reusable state — and the
-// ATC-CL-style table-affinity policy co-locates queries over shared hot
-// relations. ShardAffinity::kScatterCqs instead splits one query's CQs
-// across *all* shards and cross-shard rank-merges the per-shard top-k
-// streams (src/shard/rank_merger.h). Every outcome is canonicalized
-// through RankMerger's deterministic total order, so per-UQ results are
-// byte-equivalent across shard counts.
+// Routing (src/shard/shard_router.h) follows one rule in both placement
+// modes: every index term has an owner set — every shard under
+// replicated placement, one shard under partitioned placement. A query
+// runs locally on a healthy shard owning all of its indexed terms,
+// starting from its signature hash, so the same logical query lands on
+// the shard holding its reusable state; otherwise (terms spanning
+// owners, a down owner, or ShardAffinity::kScatterCqs) its CQs are
+// split across the healthy shards and the per-shard top-k streams are
+// cross-shard rank-merged (src/shard/rank_merger.h). Submits and
+// retries share this decide -> assign -> push path. Every outcome is
+// canonicalized through RankMerger's deterministic total order, so
+// per-UQ results are byte-equivalent across shard counts.
 //
 // Threading model: every external touch of an Engine is serialized
 // behind its shard's engine lock, and no lock is shared between two
@@ -59,6 +63,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -195,8 +200,8 @@ class QueryService {
   Status CloseSession(SessionId session);
 
   /// Submits one keyword query on the caller's session. The router
-  /// picks the executing shard (or, under kScatterCqs, splits the
-  /// query's CQs across all shards). On success the returned ticket's
+  /// picks the executing shard, or splits the query's CQs across the
+  /// healthy shards (ShardRouter::Decide). On success the returned ticket's
   /// future resolves when the shared execution completes the query's
   /// top-k (or its candidate generation fails). Fails with
   /// kResourceExhausted under backpressure (full shard queue or session
@@ -353,8 +358,8 @@ class QueryService {
     VirtualTime deadline_us = -1;
     /// Fault-tolerance re-submissions so far (bounds max_retries).
     int attempts = 0;
-    /// Set by DegradedRescatter: the eventual outcome is a flagged
-    /// subset (see QueryOutcome::degraded).
+    /// Set when a scatter drops CQs that no healthy shard owns: the
+    /// eventual outcome is a flagged subset (see QueryOutcome::degraded).
     bool degraded = false;
     std::vector<std::string> missing_terms;
   };
@@ -374,10 +379,39 @@ class QueryService {
     std::vector<int> sub_shards;
   };
 
-  Result<QueryTicket> SubmitScatter(SessionId session,
-                                    const std::string& keywords,
+  /// How a query left Send()/Push().
+  enum class Dispatch {
+    /// Queued on its shard(s).
+    kQueued,
+    /// Resolved, or handed to FailOverOne (a dead shard bounced it).
+    kHandedOff,
+    /// Refused at submit by a live shard (backpressure) or a shutdown;
+    /// nothing is queued and the caller rejects the submit.
+    kRefused,
+  };
+
+  /// Per shard: 1 when ShardHealthy().
+  std::vector<char> HealthyShards() const;
+  /// Central candidate generation for a scatter: the placement's full
+  /// index, or the first healthy replica's.
+  Result<UserQuery> GenerateScatter(const std::string& keywords,
                                     const CandidateGenOptions& options,
-                                    VirtualTime deadline_us);
+                                    const std::vector<char>& healthy) const;
+  /// The one dispatch path of submits and retries: pushes in-flight
+  /// query `uq_id` to `route.shard`, or scatters the generated `gen`
+  /// (set when route.scatter) over the healthy shards by
+  /// ShardRouter::AssignCqs, flagging the query degraded when CQs are
+  /// dropped.
+  Dispatch Send(int uq_id, SessionId session, const std::string& keywords,
+                const CandidateGenOptions& options,
+                const ShardRouter::Decision& route,
+                std::optional<Result<UserQuery>> gen,
+                const std::vector<char>& healthy, bool at_submit);
+  /// Pushes one request for `uq_id` (a query or a scatter parent) to
+  /// `shard`. A submit may block (block_when_full); a retry never does.
+  /// A refusal by a dead shard, or any refusal of a retry, fails
+  /// `uq_id` over.
+  Dispatch Push(int shard, ShardRequest request, int uq_id, bool at_submit);
   /// Registers an in-flight entry and returns its shared future.
   std::shared_future<QueryOutcome> RegisterInFlight(
       int uq_id, SessionId session, const std::string& keywords, int shard,
@@ -414,24 +448,10 @@ class QueryService {
   /// Drops scatter book-keeping for a parent (subs complete into a
   /// void afterwards).
   void AbortScatter(int uq_id);
-  /// Re-submits every retry whose backoff has elapsed.
+  /// Re-submits every retry whose backoff has elapsed: the same
+  /// decide -> assign -> push path as a fresh submit, over the shards
+  /// healthy now.
   void ProcessDueRetries(VirtualTime now_us);
-  /// Partitioned failover: re-scatters `uq_id` around the dead owners,
-  /// dropping the CQs that need them — the answer becomes a flagged
-  /// subset with term-coverage attribution (missing_terms).
-  void DegradedRescatter(int uq_id, SessionId session,
-                         const std::string& keywords,
-                         const CandidateGenOptions& options);
-  /// Replicated scatter failover: re-scatters all CQs across the
-  /// healthy shards (full answer, not degraded).
-  void RescatterAcrossHealthy(int uq_id, SessionId session,
-                              const std::string& keywords,
-                              const CandidateGenOptions& options);
-  /// Shared tail of the re-scatter paths: registers fresh sub-queries
-  /// for `parts` and pushes them; a refused push fails over again.
-  void PushRetryScatter(int parent_id, SessionId session, int k,
-                        const std::string& keywords,
-                        std::vector<std::vector<ConjunctiveQuery>> parts);
   /// Attempts a supervisor-approved engine restart of `shard`.
   void TryRestartShard(int shard);
   /// True when `shard` may receive (re-)submissions.

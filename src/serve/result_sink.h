@@ -31,7 +31,7 @@ struct QueryOutcome {
   /// The original keyword text.
   std::string keywords;
   /// Shard that executed the query; -1 when the answer was cross-shard
-  /// rank-merged (ShardAffinity::kScatterCqs).
+  /// rank-merged (a scattered query — see ShardRouter::Decide).
   int shard = 0;
   /// OK when `results` holds the completed top-k; a candidate-generation
   /// or cancellation status otherwise.

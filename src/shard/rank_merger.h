@@ -1,7 +1,7 @@
 // Cross-shard top-k merging for the sharded serving layer.
 //
-// When one user query executes on several shards (ShardAffinity::
-// kScatterCqs), every shard completes the top-k of *its* subset of the
+// When one user query executes on several shards (it scattered — see
+// ShardRouter::Decide), every shard completes the top-k of *its* subset of the
 // query's conjunctive queries; the coordinator merges those ranked
 // streams into the global top-k. The distributed top-k identity makes
 // this exact: each answer tuple is produced by exactly one conjunctive

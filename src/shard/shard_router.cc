@@ -39,59 +39,80 @@ int ShardRouter::SignatureShard(const std::string& keywords) const {
                           static_cast<uint64_t>(num_shards_));
 }
 
-int ShardRouter::TableAffinityShard(const std::string& keywords) const {
-  if (!footprint_) return SignatureShard(keywords);
-  // Route by the smallest relation any term matches: queries touching
-  // the same hot relation land together (the ATC-CL seed heuristic,
-  // lifted to the shard level). The minimum is order-insensitive, so
-  // the choice is stable across term permutations.
-  TableId best = kInvalidTable;
-  for (const std::string& term : TokenizeKeywords(keywords)) {
-    for (TableId t : footprint_(term)) {
-      if (best == kInvalidTable || t < best) best = t;
-    }
-  }
-  if (best == kInvalidTable) return SignatureShard(keywords);
-  return static_cast<int>(MixBits64(static_cast<uint64_t>(best)) %
-                          static_cast<uint64_t>(num_shards_));
+int ShardRouter::TermOwner(const std::string& term) const {
+  return term_owner_ ? term_owner_(term) : kEveryShard;
 }
 
-ShardRouter::Decision ShardRouter::Decide(const std::string& keywords) const {
-  if (num_shards_ == 1) return {0, false};
-  if (!term_owner_) return {Route(keywords), false};
-  // Ownership of the query's indexed terms decides. Unindexed terms
-  // are skipped: they match nothing under the full index either, so no
-  // shard's answer depends on them.
-  int owner = -1;
-  for (const std::string& term : TokenizeKeywords(keywords)) {
-    const int shard = term_owner_(term);
-    if (shard < 0) continue;
-    if (owner == -1) {
-      owner = shard;
-    } else if (shard != owner) {
-      // Terms span owners: no single slice holds every posting list
-      // the query needs; scatter through the exact cross-shard merge.
-      return {SignatureShard(keywords), true};
-    }
+bool ShardRouter::HasHealthyOwner(int owner,
+                                  const std::vector<char>& healthy) {
+  if (owner == kEveryShard) {
+    return std::find(healthy.begin(), healthy.end(), 1) != healthy.end();
   }
-  if (owner == -1) {
-    // Nothing indexed: generation fails identically everywhere; route
-    // by signature so repeats land together.
-    return {SignatureShard(keywords), false};
-  }
-  return {owner, false};
+  return owner >= 0 && healthy[static_cast<size_t>(owner)] != 0;
 }
 
-int ShardRouter::Route(const std::string& keywords) const {
-  if (num_shards_ == 1) return 0;
-  switch (affinity_) {
-    case ShardAffinity::kTableAffinity:
-      return TableAffinityShard(keywords);
-    case ShardAffinity::kSignatureHash:
-    case ShardAffinity::kScatterCqs:
-      return SignatureShard(keywords);
+ShardRouter::Decision ShardRouter::Decide(
+    const std::string& keywords, const std::vector<char>& healthy) const {
+  const int home = SignatureShard(keywords);
+  if (num_shards_ > 1 && affinity_ == ShardAffinity::kScatterCqs) {
+    return {home, true};
   }
-  return 0;
+  // Intersect the owner sets of the query's indexed terms.
+  std::vector<char> owns(static_cast<size_t>(num_shards_), 1);
+  for (const std::string& term : TokenizeKeywords(keywords)) {
+    const int owner = TermOwner(term);
+    if (owner < 0) continue;  // owned by every shard, or not indexed
+    for (int s = 0; s < num_shards_; ++s) {
+      if (s != owner) owns[static_cast<size_t>(s)] = 0;
+    }
+  }
+  for (int off = 0; off < num_shards_; ++off) {
+    const size_t s = static_cast<size_t>((home + off) % num_shards_);
+    if (owns[s] && healthy[s]) return {static_cast<int>(s), false};
+  }
+  // No healthy shard holds every posting list the query needs: scatter
+  // through the exact cross-shard merge.
+  return {home, true};
+}
+
+std::vector<int> ShardRouter::AssignCqs(
+    const std::vector<std::vector<int>>& cq_term_owners,
+    const std::vector<char>& healthy) {
+  std::vector<int> up;  // healthy shards, ascending
+  for (size_t s = 0; s < healthy.size(); ++s) {
+    if (healthy[s]) up.push_back(static_cast<int>(s));
+  }
+  std::vector<int> target(cq_term_owners.size(), -1);
+  if (up.empty()) return target;
+  for (size_t i = 0; i < cq_term_owners.size(); ++i) {
+    std::vector<int64_t> votes(healthy.size(), 0);
+    bool reachable = true;
+    // Whether every healthy shard owns every term of the CQ.
+    bool everywhere = true;
+    for (int owner : cq_term_owners[i]) {
+      if (!HasHealthyOwner(owner, healthy)) {
+        reachable = false;
+        break;
+      }
+      if (owner >= 0) {
+        votes[static_cast<size_t>(owner)] += 1;
+        everywhere = everywhere && up.size() == 1;
+      }
+    }
+    if (!reachable) continue;
+    if (everywhere) {
+      target[i] = up[i % up.size()];
+      continue;
+    }
+    int best = up[0];
+    for (int s : up) {
+      if (votes[static_cast<size_t>(s)] > votes[static_cast<size_t>(best)]) {
+        best = s;
+      }
+    }
+    target[i] = best;
+  }
+  return target;
 }
 
 }  // namespace qsys

@@ -140,6 +140,9 @@ RunOutcome RunScenario(const Scenario& scenario, const SimOptions& options) {
   service_options.config.placement = scenario.partitioned
                                          ? PlacementMode::kPartitioned
                                          : PlacementMode::kReplicated;
+  if (scenario.scatter) {
+    service_options.config.shard_affinity = ShardAffinity::kScatterCqs;
+  }
   if (scenario.budget_bytes > 0) {
     service_options.config.memory_budget_bytes = scenario.budget_bytes;
   }

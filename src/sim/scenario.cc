@@ -84,6 +84,7 @@ std::string Scenario::ToString() const {
   out += " threads=" + std::to_string(exec_threads);
   out += " spill=" + std::to_string(spill ? 1 : 0);
   out += " place=" + std::to_string(partitioned ? 1 : 0);
+  out += " scatter=" + std::to_string(scatter ? 1 : 0);
   out += " budget=" + std::to_string(budget_bytes);
   out += " drop=" + std::to_string(drop_to_bytes) + "@" +
          std::to_string(drop_after_wave);
@@ -124,6 +125,10 @@ Result<Scenario> Scenario::Parse(const std::string& text) {
   // placement existed (pinned in tests and docs) parse as replicated.
   auto place = TokenValue(tokens, "place");
   s.partitioned = place.ok() && place.value() == "1";
+  // scatter= is optional for the same reason: older strings route by
+  // signature hash.
+  auto scatter = TokenValue(tokens, "scatter");
+  s.scatter = scatter.ok() && scatter.value() == "1";
   QSYS_ASSIGN_OR_RETURN(std::string budget, TokenValue(tokens, "budget"));
   s.budget_bytes = std::strtoll(budget.c_str(), nullptr, 10);
   QSYS_ASSIGN_OR_RETURN(std::string drop, TokenValue(tokens, "drop"));
@@ -191,6 +196,7 @@ std::string Scenario::ShapeKey() const {
   key += "/t" + std::to_string(exec_threads);
   key += spill ? "/spill" : "/nospill";
   if (partitioned) key += "/part";
+  if (scatter) key += "/scatter";
   key += budget_bytes == 0 ? "/unlim"
          : budget_bytes >= (128 << 10) ? "/roomy"
                                        : "/tight";
@@ -272,6 +278,8 @@ Scenario GenerateScenario(uint64_t seed) {
   // and therefore every pre-placement scenario's shape — bit-identical
   // for a given seed.
   s.partitioned = rng.Percent(40);
+  // Routing draw after placement, for the same reason.
+  s.scatter = rng.Percent(30);
   return s;
 }
 

@@ -54,6 +54,12 @@ struct Scenario {
   /// stay valid.
   bool partitioned = false;
 
+  /// Routing: true = ShardAffinity::kScatterCqs (every query's CQs split
+  /// across the healthy shards and rank-merged), false = the default
+  /// signature-hash routing. Serialized as `scatter=0|1`; the key is
+  /// optional on Parse so pre-scatter reproducer strings stay valid.
+  bool scatter = false;
+
   /// Whether the disk-spill tier is attached (evictions demote instead
   /// of destroy).
   bool spill = true;

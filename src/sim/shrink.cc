@@ -83,8 +83,9 @@ Scenario ShrinkScenario(const Scenario& failing,
       }
     }
 
-    // Pass 3: collapse parallelism (and partitioned placement — a
-    // reproducer that still fails replicated is not a placement bug).
+    // Pass 3: collapse parallelism (and partitioned placement and
+    // scatter routing — a reproducer that still fails replicated and
+    // routed is not a placement or scatter bug).
     if (current.shards > 1 && runs < max_runs) {
       Scenario candidate = current;
       candidate.shards = 1;
@@ -99,6 +100,11 @@ Scenario ShrinkScenario(const Scenario& failing,
     if (current.partitioned && runs < max_runs) {
       Scenario candidate = current;
       candidate.partitioned = false;
+      if (keep_if_fails(candidate)) progress = true;
+    }
+    if (current.scatter && runs < max_runs) {
+      Scenario candidate = current;
+      candidate.scatter = false;
       if (keep_if_fails(candidate)) progress = true;
     }
 

@@ -669,6 +669,68 @@ TEST(FaultTolerancePartitionedTest, DegradedAnswersAreFlaggedSubsets) {
   EXPECT_GT(total_degraded, 0);
 }
 
+TEST(FaultTolerancePartitionedTest, SubmitAfterOwnerDownScattersWithoutRetry) {
+  // Once the supervisor has taken a partition out of rotation, a new
+  // query that needs it is routed by the same owner-set rule as a
+  // retry: straight to the degraded scatter, with no bounce off the
+  // dead shard and no retry.
+  const std::vector<std::string> queries = {
+      "blue red", "blue rust", "red sky", "rust sky",
+  };
+  const std::map<std::string, std::string> clean =
+      CleanAnswers(queries, {}, nullptr, BuildColorDataset);
+
+  int64_t total_degraded = 0;
+  for (int crash_shard = 0; crash_shard < 2; ++crash_shard) {
+    ServiceOptions options = FaultTestOptions(2);
+    options.config.placement = PlacementMode::kPartitioned;
+    QueryService service(options);
+    ASSERT_TRUE(service.BuildEachEngine(BuildColorDataset).ok());
+    ASSERT_TRUE(service.Start().ok());
+    ShardFaultPlan plan;
+    plan.target_shard = crash_shard;
+    plan.crash_at_seq = 0;
+    ScriptedShardFaultInjector injector(plan);
+    service.InstallShardFaultInjector(&injector);
+    ASSERT_NE(service.supervisor(), nullptr);
+    for (int spin = 0;
+         spin < 100 && !service.supervisor()->out_of_rotation(crash_shard);
+         ++spin) {
+      ASSERT_TRUE(service.PumpOnce().ok());
+    }
+    ASSERT_TRUE(service.supervisor()->out_of_rotation(crash_shard));
+
+    auto session = service.OpenSession("owner-down");
+    ASSERT_TRUE(session.ok());
+    std::vector<QueryTicket> tickets;
+    for (const std::string& q : queries) {
+      auto t = service.Submit(session.value(), q);
+      ASSERT_TRUE(t.ok()) << q;
+      tickets.push_back(std::move(t).value());
+    }
+    ASSERT_TRUE(PumpUntilResolved(service, tickets));
+    for (size_t i = 0; i < tickets.size(); ++i) {
+      const std::string& q = queries[i];
+      const QueryOutcome& out = tickets[i].Wait();
+      EXPECT_EQ(out.retries, 0) << q;
+      if (!out.status.ok()) {
+        EXPECT_EQ(out.status.code(), StatusCode::kUnavailable) << q;
+        continue;
+      }
+      if (out.degraded) {
+        EXPECT_EQ(out.shard, -1) << q << ": a degraded answer is scattered";
+        EXPECT_FALSE(out.missing_terms.empty()) << q;
+        total_degraded += 1;
+      } else {
+        EXPECT_EQ(FingerprintResults(out.results), clean.at(q)) << q;
+      }
+    }
+    EXPECT_EQ(service.counters().retries.load(), 0);
+    (void)service.Shutdown();
+  }
+  EXPECT_GT(total_degraded, 0);
+}
+
 // ---- bounded shutdown ----
 
 TEST(FaultToleranceTest, ShutdownDrainsBoundedUnderThreadedStall) {

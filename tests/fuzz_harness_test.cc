@@ -61,6 +61,15 @@ TEST(FuzzHarnessTest, ScenarioStringRoundTrips) {
   ASSERT_TRUE(example.ok()) << example.status().ToString();
   EXPECT_EQ(example.value().NumQueries(), 3);
   EXPECT_EQ(example.value().drop_after_wave, 0);
+  // Keys added later default off when absent.
+  EXPECT_FALSE(example.value().partitioned);
+  EXPECT_FALSE(example.value().scatter);
+  auto scattered = Scenario::Parse(
+      "sim1 wseed=7 wn=10 order=0,1,2 waves=2,1 shards=3 threads=1 "
+      "spill=1 place=0 scatter=1 budget=0 drop=0@-1");
+  ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
+  EXPECT_TRUE(scattered.value().scatter);
+  EXPECT_NE(scattered.value().ShapeKey().find("/scatter"), std::string::npos);
 }
 
 TEST(FuzzHarnessTest, ParseRejectsInconsistentScenarios) {
@@ -91,7 +100,7 @@ TEST(FuzzHarnessTest, ParseRejectsInconsistentScenarios) {
 TEST(FuzzHarnessTest, GenerateScenarioIsDeterministicAndVaried) {
   std::set<std::string> shapes;
   bool saw_repeat = false, saw_drop = false, saw_multiwave = false;
-  bool saw_partitioned = false, saw_replicated = false;
+  bool saw_partitioned = false, saw_replicated = false, saw_scatter = false;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     const Scenario a = GenerateScenario(seed);
     const Scenario b = GenerateScenario(seed);
@@ -105,6 +114,7 @@ TEST(FuzzHarnessTest, GenerateScenarioIsDeterministicAndVaried) {
     saw_multiwave = saw_multiwave || a.waves.size() > 1;
     saw_partitioned = saw_partitioned || a.partitioned;
     saw_replicated = saw_replicated || !a.partitioned;
+    saw_scatter = saw_scatter || (a.scatter && a.shards > 1);
   }
   // The generator actually explores the space.
   EXPECT_GT(shapes.size(), 15u);
@@ -113,6 +123,7 @@ TEST(FuzzHarnessTest, GenerateScenarioIsDeterministicAndVaried) {
   EXPECT_TRUE(saw_multiwave);
   EXPECT_TRUE(saw_partitioned);
   EXPECT_TRUE(saw_replicated);
+  EXPECT_TRUE(saw_scatter);
 }
 
 // ---- the named regression ----

@@ -1,5 +1,5 @@
 // Tests for the sharded serving layer (src/shard/ + the sharded
-// QueryService): router determinism and affinity, cross-shard rank-merge
+// QueryService): router determinism and ownership rules, cross-shard rank-merge
 // canonicalization, sharded-vs-single-engine differential equivalence
 // (per-UQ top-k byte-equivalent across shard counts), scatter execution,
 // and multi-shard drain/cancel shutdown.
@@ -41,44 +41,124 @@ TEST(ShardRouterTest, CanonicalKeyNormalizesOrderCaseAndDuplicates) {
 
 TEST(ShardRouterTest, RouteIsStableAndInRange) {
   ShardRouter router(4, ShardAffinity::kSignatureHash);
+  const std::vector<char> all(4, 1);
   const char* queries[] = {"membrane gene", "kinase pathway",
                            "receptor transport", "mutation metabolism",
                            "protein family domain"};
   std::set<int> used;
   for (const char* q : queries) {
-    int shard = router.Route(q);
-    EXPECT_GE(shard, 0);
-    EXPECT_LT(shard, 4);
-    EXPECT_EQ(shard, router.Route(q)) << "routing must be stable";
-    used.insert(shard);
+    const ShardRouter::Decision d = router.Decide(q, all);
+    EXPECT_FALSE(d.scatter) << "replicated: every shard owns every term";
+    EXPECT_GE(d.shard, 0);
+    EXPECT_LT(d.shard, 4);
+    EXPECT_EQ(d.shard, router.Decide(q, all).shard)
+        << "routing must be stable";
+    used.insert(d.shard);
   }
   // The workload above must not all collapse onto one shard.
   EXPECT_GT(used.size(), 1u);
   // Term order / case variants co-locate.
-  EXPECT_EQ(router.Route("membrane gene"), router.Route("GENE membrane"));
+  EXPECT_EQ(router.Decide("membrane gene", all).shard,
+            router.Decide("GENE membrane", all).shard);
 
   ShardRouter single(1, ShardAffinity::kSignatureHash);
-  EXPECT_EQ(single.Route("anything at all"), 0);
+  EXPECT_EQ(single.Decide("anything at all", {1}).shard, 0);
 }
 
-TEST(ShardRouterTest, TableAffinityColocatesByHottestRelation) {
-  ShardRouter router(4, ShardAffinity::kTableAffinity);
-  router.set_footprint_fn(
-      [](const std::string& term) -> std::vector<TableId> {
-        if (term == "alpha") return {5};
-        if (term == "beta") return {2, 7};
-        if (term == "gamma") return {2};
-        return {};
-      });
-  // All three queries bottom out at relation 2 -> same shard.
-  int shard = router.Route("beta");
-  EXPECT_EQ(router.Route("gamma"), shard);
-  EXPECT_EQ(router.Route("alpha beta"), shard);
-  EXPECT_EQ(router.Route("beta alpha"), shard) << "order-insensitive";
-  // No footprint at all: falls back to the signature hash.
-  ShardRouter hash(4, ShardAffinity::kSignatureHash);
-  EXPECT_EQ(router.Route("unmatched words"),
-            hash.Route("unmatched words"));
+TEST(ShardRouterTest, DecideRunsOnFirstHealthyOwnerOrScatters) {
+  const std::vector<char> all(3, 1);
+  // Replicated: a down home shard is routed around, upward mod N.
+  ShardRouter replicated(3, ShardAffinity::kSignatureHash);
+  const int home = replicated.Decide("membrane gene", all).shard;
+  std::vector<char> home_down = all;
+  home_down[static_cast<size_t>(home)] = 0;
+  const ShardRouter::Decision around =
+      replicated.Decide("membrane gene", home_down);
+  EXPECT_FALSE(around.scatter);
+  EXPECT_EQ(around.shard, (home + 1) % 3);
+
+  // kScatterCqs always scatters, attributed to the signature-hash shard
+  // (one shard has nothing to scatter over).
+  ShardRouter scatter(3, ShardAffinity::kScatterCqs);
+  EXPECT_TRUE(scatter.Decide("membrane gene", all).scatter);
+  EXPECT_EQ(scatter.Decide("membrane gene", all).shard, home);
+  ShardRouter single_scatter(1, ShardAffinity::kScatterCqs);
+  EXPECT_FALSE(single_scatter.Decide("membrane gene", {1}).scatter);
+
+  // Partitioned: one owner per indexed term; "zzz" is not indexed.
+  ShardRouter partitioned(3, ShardAffinity::kSignatureHash);
+  partitioned.set_term_owner_fn([](const std::string& term) {
+    if (term == "alpha") return 0;
+    if (term == "beta") return 2;
+    return ShardRouter::kNoShard;
+  });
+  EXPECT_EQ(partitioned.TermOwner("beta"), 2);
+  EXPECT_EQ(replicated.TermOwner("beta"), ShardRouter::kEveryShard);
+  const ShardRouter::Decision owned = partitioned.Decide("beta zzz", all);
+  EXPECT_FALSE(owned.scatter) << "unindexed terms do not constrain";
+  EXPECT_EQ(owned.shard, 2);
+  const ShardRouter::Decision spanning =
+      partitioned.Decide("alpha beta", all);
+  EXPECT_TRUE(spanning.scatter) << "terms span owners";
+  EXPECT_EQ(spanning.shard, replicated.Decide("alpha beta", all).shard);
+  const ShardRouter::Decision owner_down =
+      partitioned.Decide("beta", {1, 1, 0});
+  EXPECT_TRUE(owner_down.scatter) << "the only owner is down";
+  // No indexed term: every shard is a candidate, as under replication.
+  EXPECT_EQ(partitioned.Decide("zzz", all).shard,
+            replicated.Decide("zzz", all).shard);
+  EXPECT_FALSE(partitioned.Decide("zzz", all).scatter);
+}
+
+TEST(ShardRouterTest, AssignCqsFollowsOwnershipRules) {
+  constexpr int kAll = ShardRouter::kEveryShard;
+  struct Case {
+    const char* name;
+    std::vector<char> healthy;
+    std::vector<std::vector<int>> owners;  // per CQ, per term
+    std::vector<int> want;                 // per CQ; -1 = dropped
+  };
+  const Case cases[] = {
+      // Replicated scatter: CQ i -> shard i mod N.
+      {"replicated round-robin", {1, 1, 1},
+       {{kAll}, {kAll, kAll}, {kAll}, {}, {kAll}}, {0, 1, 2, 0, 1}},
+      // Replicated failover: rotate over the healthy shards only.
+      {"replicated round-robin around a dead shard", {1, 0, 1},
+       {{kAll}, {kAll}, {kAll}, {kAll}, {kAll}}, {0, 2, 0, 2, 0}},
+      // Partitioned: the owner of the most terms wins, ties to the lowest
+      // shard — one term on each of two shards goes to shard 0.
+      {"partitioned locality vote", {1, 1},
+       {{1, 1, 0}, {0, 1}, {1}, {0}, {1, 0}}, {1, 0, 1, 0, 0}},
+      {"partitioned vote over three shards", {1, 1, 1},
+       {{2, 1, 2}, {1, 2}, {2, 0, 1}, {2}}, {2, 1, 0, 2}},
+      // CQs with no term selections rotate by CQ index.
+      {"term-less CQs by index", {1, 1},
+       {{}, {1}, {}, {0}, {}}, {0, 1, 0, 0, 0}},
+      {"term-less CQs by index over three shards", {1, 1, 1},
+       {{}, {}, {2}, {}}, {0, 1, 2, 0}},
+      // A CQ with a term no healthy shard owns is dropped; the rest vote
+      // among the healthy shards, and term-less CQs rotate over them.
+      {"dead owner drops its CQs", {0, 1, 1},
+       {{1, 2, 2}, {1, 2}, {0}, {0, 1}, {}, {}}, {2, 1, -1, -1, 1, 2}},
+      {"only one shard left", {1, 0},
+       {{0, 1}, {0}, {}, {0, 0}}, {-1, 0, 0, 0}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ShardRouter::AssignCqs(c.owners, c.healthy), c.want)
+        << c.name;
+  }
+
+  // The dropped CQs' lost terms are exactly those without a healthy
+  // owner (they become the outcome's missing_terms).
+  const std::vector<char> shard0_down = {0, 1, 1};
+  EXPECT_FALSE(ShardRouter::HasHealthyOwner(0, shard0_down));
+  EXPECT_TRUE(ShardRouter::HasHealthyOwner(1, shard0_down));
+  EXPECT_TRUE(ShardRouter::HasHealthyOwner(kAll, shard0_down));
+  EXPECT_FALSE(ShardRouter::HasHealthyOwner(ShardRouter::kNoShard,
+                                            shard0_down));
+  // With nothing healthy, nothing can be placed.
+  EXPECT_EQ(ShardRouter::AssignCqs({{kAll}, {}}, {0, 0}),
+            (std::vector<int>{-1, -1}));
 }
 
 // ---- RankMerger ----
@@ -189,17 +269,13 @@ TEST(ShardedServiceTest, TinyBioShardedMatchesSingleEngine) {
   QConfig config = FastTestConfig();
   std::vector<std::string> single =
       RunSharded(1, ShardAffinity::kSignatureHash, queries, builder, config);
-  for (ShardAffinity affinity :
-       {ShardAffinity::kSignatureHash, ShardAffinity::kTableAffinity}) {
-    std::vector<std::string> sharded =
-        RunSharded(3, affinity, queries, builder, config);
-    ASSERT_EQ(single.size(), sharded.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_FALSE(single[i].empty()) << queries[i];
-      EXPECT_EQ(single[i], sharded[i])
-          << ShardAffinityName(affinity) << ": per-UQ top-k must be "
-          << "byte-equivalent for " << queries[i];
-    }
+  std::vector<std::string> sharded =
+      RunSharded(3, ShardAffinity::kSignatureHash, queries, builder, config);
+  ASSERT_EQ(single.size(), sharded.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_FALSE(single[i].empty()) << queries[i];
+    EXPECT_EQ(single[i], sharded[i])
+        << "per-UQ top-k must be byte-equivalent for " << queries[i];
   }
 }
 
@@ -288,7 +364,9 @@ TEST(ShardedServiceTest, QueriesSpreadAcrossShardsAndReportShard) {
   for (size_t i = 0; i < tickets.size(); ++i) {
     const QueryOutcome& out = tickets[i].Wait();
     ASSERT_TRUE(out.status.ok()) << queries[i];
-    EXPECT_EQ(out.shard, service.router().Route(queries[i]));
+    EXPECT_EQ(out.shard,
+              service.router().Decide(queries[i], std::vector<char>(4, 1))
+                  .shard);
     shards_used.insert(out.shard);
   }
   EXPECT_GT(shards_used.size(), 1u)
